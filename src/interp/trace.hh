@@ -95,7 +95,12 @@ struct ThreadTrace
  * exposed through block()/succ()/numAccesses(), its accesses are pulled
  * with nextAccess(), and nextExec() advances to the next execution
  * (skipping any accesses the caller did not consume, so the delta
- * chains stay in sync). Cheap to copy; ~100 bytes of state.
+ * chains stay in sync). Cheap to copy: 88 bytes of state, and a replay
+ * holds one per thread, so every byte saved is cache the loop keeps.
+ *
+ * Block ids are held in 16 bits (unsigned block, signed successor),
+ * the same range BlockExec stores, and the previous tuple's block —
+ * the literal token's delta base — is the current tuple's.
  *
  * When the owning TraceSet has an access intern table, accesses are
  * served from the pre-decoded pool (one pointer bump) instead of the
@@ -124,7 +129,7 @@ class ThreadCursor
     {
         --accLeft_;
         if (pool_)
-            return pool_[poolPos_++];
+            return *pool_++;
         const uint64_t v = varint::decode(ap_);
         MemAccess a;
         a.isStore = v & 1;
@@ -140,7 +145,7 @@ class ThreadCursor
     nextExec()
     {
         if (pool_) {
-            poolPos_ += accLeft_;  // skip unconsumed accesses in O(1)
+            pool_ += accLeft_;  // skip unconsumed accesses in O(1)
             accLeft_ = 0;
         } else {
             while (accLeft_)
@@ -157,10 +162,11 @@ class ThreadCursor
   private:
     friend class TraceSet;
 
+    /** One decoded (block, successor, access count) tuple. */
     struct Tup
     {
-        int32_t block = 0;
-        int32_t succ = 0;
+        uint16_t block = 0;
+        int16_t succ = 0;
         uint32_t nacc = 0;
     };
 
@@ -178,45 +184,60 @@ class ThreadCursor
     void
     decodeExec()
     {
+        // A run repeat — a loop iteration, the bulk of most traces — is
+        // a copy from the ring; only a fresh token needs decodeToken().
         if (runLeft_) {
             --runLeft_;
             cur_ = ring_[(ringPos_ + 4 - runDist_) & 3];
         } else {
-            uint64_t v = varint::decode(ep_);
-            if (v & 1) {
-                v >>= 1;
-                runDist_ = uint32_t(v & 3) + 1;
-                runLeft_ = uint32_t(v >> 2) - 1;
-                cur_ = ring_[(ringPos_ + 4 - runDist_) & 3];
-            } else {
-                cur_.block =
-                    prevBlock_ + int32_t(varint::unzigzag(v >> 1));
-                cur_.succ = cur_.block +
-                            int32_t(varint::unzigzag(varint::decode(ep_)));
-                cur_.nacc = uint32_t(varint::decode(ep_));
-            }
+            decodeToken();
         }
         ring_[ringPos_] = cur_;
-        ringPos_ = (ringPos_ + 1) & 3;
-        prevBlock_ = cur_.block;
+        ringPos_ = uint8_t((ringPos_ + 1) & 3);
         accLeft_ = cur_.nacc;
+    }
+
+    /**
+     * Decode the next exec-stream token into cur_. Kept apart from
+     * decodeExec() so that the run path stays small enough to inline
+     * into the replay loops.
+     */
+    void
+    decodeToken()
+    {
+        uint64_t v = varint::decode(ep_);
+        if (v & 1) {
+            v >>= 1;
+            runDist_ = uint8_t((v & 3) + 1);
+            runLeft_ = uint32_t(v >> 2) - 1;
+            cur_ = ring_[(ringPos_ + 4 - runDist_) & 3];
+        } else {
+            // Literal: the delta base is the previous tuple's block,
+            // which cur_ still holds (0 before the first).
+            const int64_t block =
+                int64_t(cur_.block) + varint::unzigzag(v >> 1);
+            cur_.block = uint16_t(block);
+            cur_.succ =
+                int16_t(block + varint::unzigzag(varint::decode(ep_)));
+            cur_.nacc = uint32_t(varint::decode(ep_));
+        }
     }
 
     const uint8_t *ep_ = nullptr;  ///< exec stream read position
     const uint8_t *ap_ = nullptr;  ///< access stream read position
-    const MemAccess *pool_ = nullptr;  ///< interned accesses, or null
-    uint64_t poolPos_ = 0;         ///< next access within pool_
+    const MemAccess *pool_ = nullptr;  ///< next interned access, or null
     uint32_t execsLeft_ = 0;       ///< execs not yet decoded
-    bool hasCur_ = false;
-    Tup cur_;
     uint32_t accLeft_ = 0;         ///< undecoded accesses of cur_
-    int32_t prevBlock_ = 0;
     uint32_t prevAddr_[2] = {0, 0};  ///< [global, shared] delta chains
-    Tup ring_[4];                  ///< last 4 decoded tuples (run window)
-    uint32_t ringPos_ = 0;
     uint32_t runLeft_ = 0;
-    uint32_t runDist_ = 0;
+    Tup cur_;
+    Tup ring_[4];                  ///< last 4 decoded tuples (run window)
+    uint8_t ringPos_ = 0;
+    uint8_t runDist_ = 0;
+    bool hasCur_ = false;
 };
+static_assert(sizeof(ThreadCursor) == 88,
+              "ThreadCursor is one per replayed thread: keep it small");
 
 /**
  * Compressed traces for every thread of a launch, plus launch metadata.

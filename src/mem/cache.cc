@@ -19,6 +19,8 @@ Cache::Cache(std::string name, const CacheGeometry &geom)
     setShift_ = std::has_single_bit(numSets_)
                     ? int32_t(std::countr_zero(numSets_))
                     : -1;
+    bankMask_ = std::has_single_bit(geom_.banks) ? int32_t(geom_.banks - 1)
+                                                 : -1;
 }
 
 Cache::Result

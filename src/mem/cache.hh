@@ -132,11 +132,17 @@ class Cache
         return accessMiss(base, tag, is_write);
     }
 
-    /** Bank serving @p addr; lines are interleaved across banks. */
+    /**
+     * Bank serving @p addr; lines are interleaved across banks. A shift
+     * and a mask for the power-of-two bank counts the replay loops
+     * query (the L1 and the LVC).
+     */
     uint32_t
     bankOf(uint32_t addr) const
     {
-        return (addr / geom_.lineBytes) % geom_.banks;
+        const uint32_t line = addr >> lineShift_;
+        return bankMask_ >= 0 ? line & uint32_t(bankMask_)
+                              : line % geom_.banks;
     }
 
     const CacheGeometry &geometry() const { return geom_; }
@@ -166,6 +172,7 @@ class Cache
     uint32_t numSets_ = 1;
     uint32_t lineShift_ = 7;   ///< log2(lineBytes); lineBytes is pow2
     int32_t setShift_ = -1;    ///< log2(numSets) if pow2, else -1
+    int32_t bankMask_ = -1;    ///< banks - 1 if pow2, else -1
 };
 
 } // namespace vgiw

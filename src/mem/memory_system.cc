@@ -79,15 +79,11 @@ MemorySystem::accessL2Direct(uint32_t addr, bool is_write)
 }
 
 MemAccessResult
-MemorySystem::access(uint32_t addr, bool is_write)
+MemorySystem::accessBeyondL1(uint32_t addr, const Cache::Result &r1)
 {
     MemAccessResult out;
-    Cache::Result r1 = l1_.access(addr, is_write);
     out.latency = timings_.l1HitLatency;
     out.servicedBy = MemLevel::L1;
-
-    if (r1.hit && !r1.forwardWrite)
-        return out;
 
     MemLevel level = MemLevel::L2;
     uint32_t deeper = 0;

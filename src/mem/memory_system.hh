@@ -54,8 +54,19 @@ class MemorySystem
                  const DramConfig &dram_cfg = {},
                  const MemTimings &timings = {});
 
-    /** One word access; returns latency and the servicing level. */
-    MemAccessResult access(uint32_t addr, bool is_write);
+    /**
+     * One word access; returns latency and the servicing level. The L1
+     * hit — the common case of every replay loop — is inline; anything
+     * that reaches the L2 takes the out-of-line miss path.
+     */
+    MemAccessResult
+    access(uint32_t addr, bool is_write)
+    {
+        const Cache::Result r1 = l1_.access(addr, is_write);
+        if (r1.hit && !r1.forwardWrite)
+            return MemAccessResult{timings_.l1HitLatency, MemLevel::L1};
+        return accessBeyondL1(addr, r1);
+    }
 
     /**
      * An access that bypasses the L1 and goes straight to the L2 — the
@@ -78,6 +89,9 @@ class MemorySystem
     void reset();
 
   private:
+    /** The rest of access() once the L1 has answered with @p r1. */
+    MemAccessResult accessBeyondL1(uint32_t addr, const Cache::Result &r1);
+
     /** Run an L2-level access (line granularity) and return latency. */
     uint32_t accessL2(uint32_t addr, bool is_write, MemLevel &level);
 

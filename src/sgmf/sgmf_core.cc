@@ -187,7 +187,9 @@ SgmfCore::deserializeArtifact(std::string_view bytes) const
     if (!p)
         return nullptr;
     ck->blockOps.resize(size_t(n));
-    std::memcpy(ck->blockOps.data(), p, size_t(n) * sizeof(uint32_t));
+    if (n)  // memcpy into an empty vector's null data() is UB
+        std::memcpy(ck->blockOps.data(), p,
+                    size_t(n) * sizeof(uint32_t));
     if (!r.done())
         return nullptr;
     return ck;

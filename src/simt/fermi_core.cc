@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -26,13 +27,27 @@ constexpr uint64_t kNever = std::numeric_limits<uint64_t>::max();
 struct Warp
 {
     int cta = 0;
-    std::array<int, 32> tids{};  ///< global tid per lane, -1 = none
+    int tid0 = 0;  ///< global tid of lane 0; lane l runs tid0 + l
     SimtStack stack{0, 0};
     size_t instrIdx = 0;
     bool blockStarted = false;
     uint64_t readyAt = 0;
     bool atBarrier = false;
     bool done = false;
+};
+
+/**
+ * One block as the issue loop sees it, gathered once per run from the
+ * kernel and the compile artifact so an issue reads a single table
+ * entry instead of chasing the kernel's block and decode vectors.
+ */
+struct IssueBlock
+{
+    const FermiDecodedInstr *instrs = nullptr;
+    size_t numInstrs = 0;
+    bool branch = false;  ///< terminator is a branch instruction
+    bool condRf = false;  ///< that branch reads a condition register
+    bool barrier = false;
 };
 
 } // namespace
@@ -152,7 +167,8 @@ FermiCore::deserializeArtifact(std::string_view bytes) const
         return nullptr;
     std::vector<int> ipd;
     ipd.resize(size_t(n_ipd));
-    std::memcpy(ipd.data(), p, size_t(n_ipd) * sizeof(int));
+    if (n_ipd)  // memcpy into an empty vector's null data() is UB
+        std::memcpy(ipd.data(), p, size_t(n_ipd) * sizeof(int));
     auto ck = std::make_shared<FermiCompiledKernel>(
         PostDominators::fromIpdoms(std::move(ipd)));
 
@@ -207,6 +223,19 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     const PostDominators &pd = ck->pd;
     MemorySystem ms(fermiL1Geometry());
 
+    vgiw_assert(ck->decoded.size() == k.blocks.size() &&
+                    ck->branchCondRf.size() == k.blocks.size(),
+                "compile artifact/kernel mismatch");
+    std::vector<IssueBlock> blocks(k.blocks.size());
+    for (size_t b = 0; b < blocks.size(); ++b) {
+        const Terminator &term = k.blocks[b].term;
+        vgiw_assert(ck->decoded[b].size() == k.blocks[b].instrs.size(),
+                    "compile artifact/kernel mismatch");
+        blocks[b] = IssueBlock{ck->decoded[b].data(), ck->decoded[b].size(),
+                               term.kind == TermKind::Branch,
+                               ck->branchCondRf[b] != 0, term.barrier};
+    }
+
     // One forward-only decode cursor per thread: block entry peeks the
     // current exec, memory instructions pull its accesses lane by lane,
     // and the terminator advances it.
@@ -223,14 +252,12 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     for (int w = 0; w < total_warps; ++w) {
         Warp &warp = warps[w];
         warp.cta = w / warps_per_cta;
+        const int first_in_cta = (w % warps_per_cta) * cfg_.warpSize;
+        warp.tid0 = warp.cta * launch.ctaSize + first_in_cta;
         uint32_t mask = 0;
         for (int lane = 0; lane < cfg_.warpSize; ++lane) {
-            const int in_cta =
-                (w % warps_per_cta) * cfg_.warpSize + lane;
-            const int tid = warp.cta * launch.ctaSize + in_cta;
-            warp.tids[lane] =
-                in_cta < launch.ctaSize && tid < num_threads ? tid : -1;
-            if (warp.tids[lane] >= 0)
+            if (first_in_cta + lane < launch.ctaSize &&
+                warp.tid0 + lane < num_threads)
                 mask |= uint32_t(1) << lane;
         }
         warp.stack = SimtStack(mask, 0);
@@ -249,7 +276,6 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     uint64_t shared_accesses = 0;
     uint64_t active_lane_slots = 0;  // Fig. 1b: occupied lanes per issue
     uint64_t issued_slots = 0;
-    int rr = 0;  // round-robin pointer
 
     // Observability counters (deterministic scheduling statistics):
     // SIMT-stack pushes/pops across advance() — the divergence and
@@ -271,6 +297,19 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
     for (int w = 0; w < total_warps; ++w)
         if (!warps[w].done)
             alive.push_back(w);
+
+    // Residency is a prefix of CTA (hence warp) IDs, so the resident
+    // candidates are alive[0, resident): the bound moves only when a
+    // warp finishes or a CTA is admitted. The round-robin pointer is
+    // kept as a position in alive — the first candidate after the last
+    // pick — so a pick costs no search.
+    auto resident_bound = [&] {
+        return size_t(std::lower_bound(alive.begin(), alive.end(),
+                                       cta_hi * warps_per_cta) -
+                      alive.begin());
+    };
+    size_t resident = resident_bound();
+    size_t rr = 0;
 
     // Barrier release: when every live warp of a CTA is waiting. A
     // CTA's warps occupy the contiguous ID range [cta*warps_per_cta,
@@ -296,13 +335,20 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
         }
     };
 
-    auto on_warp_done = [&](int w) {
-        Warp &warp = warps[w];
+    // Retire the warp at alive[pos] (the one just picked). Its
+    // successor in alive slides into its slot, so that slot is now the
+    // first candidate after the pick.
+    auto on_warp_done = [&](size_t pos) {
+        Warp &warp = warps[alive[pos]];
         warp.done = true;
-        alive.erase(std::lower_bound(alive.begin(), alive.end(), w));
+        alive.erase(alive.begin() + long(pos));
+        --resident;
+        rr = pos;
         if (--live_warps_in_cta[warp.cta] == 0) {
-            if (cta_hi < launch.numCtas)
+            if (cta_hi < launch.numCtas) {
                 ++cta_hi;
+                resident = resident_bound();
+            }
         } else {
             try_release_barrier(warp.cta);  // it may have been the straggler
         }
@@ -318,76 +364,65 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
         if (wd)
             wd->poll(clock, rs.dynBlockExecs, rs.dynThreadOps);
         // Pick the next ready, resident warp: the first candidate in
-        // circular warp-ID order starting at rr — the same round-robin
-        // greedy policy as scanning every warp. Residency is a prefix of
-        // CTA (hence warp) IDs, so the scan is bounded by the resident
-        // window (<= maxResidentWarps), not the launch size; the
-        // earliest-wakeup fallback folds into the same pass.
-        const int res_limit = cta_hi * warps_per_cta;
-        const size_t upper = size_t(
-            std::lower_bound(alive.begin(), alive.end(), res_limit) -
-            alive.begin());
-        int pick = -1;
+        // circular warp-ID order after the last pick — round-robin
+        // greedy, the same policy as scanning every warp, but bounded
+        // by the resident window (<= maxResidentWarps) instead of the
+        // launch size; the earliest-wakeup fallback folds into the same
+        // pass.
+        size_t pos = resident;
         uint64_t next = kNever;
         if (jm)
             ++m_scans;
-        if (upper > 0) {
-            size_t start = size_t(
-                std::lower_bound(alive.begin(), alive.begin() + long(upper),
-                                 rr) -
-                alive.begin());
-            if (start == upper)
-                start = 0;  // rr past the window: wrap to the smallest ID
-            for (size_t i = 0; i < upper; ++i) {
-                const size_t j =
-                    start + i < upper ? start + i : start + i - upper;
-                if (jm)
-                    ++m_scan_steps;
-                const Warp &warp = warps[alive[j]];
-                if (warp.atBarrier)
-                    continue;
-                if (warp.readyAt <= clock) {
-                    pick = alive[j];
-                    break;
-                }
-                next = std::min(next, warp.readyAt);
+        if (rr >= resident)
+            rr = 0;  // past the window: wrap to the smallest ID
+        for (size_t i = 0; i < resident; ++i) {
+            size_t j = rr + i;
+            if (j >= resident)
+                j -= resident;
+            if (jm)
+                ++m_scan_steps;
+            const Warp &warp = warps[alive[j]];
+            if (warp.atBarrier)
+                continue;
+            if (warp.readyAt <= clock) {
+                pos = j;
+                break;
             }
+            next = std::min(next, warp.readyAt);
         }
-        if (pick < 0) {
+        if (pos == resident) {
             vgiw_assert(next != kNever, "kernel '", k.name,
                         "': SM deadlock (barrier without release?)");
             clock = next;
             continue;
         }
-        rr = (pick + 1) % total_warps;
+        const int pick = alive[pos];
+        rr = pos + 1;
 
         Warp &warp = warps[pick];
         const int b = warp.stack.currentBlock();
-        const BasicBlock &blk = k.blocks[b];
+        const IssueBlock &blk = blocks[size_t(b)];
         const uint32_t mask = warp.stack.activeMask();
         const int active = warp.stack.activeLanes();
+        ThreadCursor *const lanes = cursor.data() + warp.tid0;
 
         // On block entry, check each active lane sits on its next trace
         // exec; the per-thread cursors already point at its accesses.
         if (!warp.blockStarted) {
-            for (int lane = 0; lane < 32; ++lane) {
-                if (!((mask >> lane) & 1))
-                    continue;
-                const int tid = warp.tids[lane];
-                vgiw_assert(!cursor[size_t(tid)].done(),
+            for (uint32_t m = mask; m; m &= m - 1) {
+                const ThreadCursor &c = lanes[std::countr_zero(m)];
+                vgiw_assert(!c.done(),
                             "trace underrun (SIMT replay diverged)");
-                vgiw_assert(cursor[size_t(tid)].block() == b,
-                            "SIMT replay off-trace: warp ", pick,
-                            " block ", b, " trace ",
-                            cursor[size_t(tid)].block());
+                vgiw_assert(c.block() == b, "SIMT replay off-trace: warp ",
+                            pick, " block ", b, " trace ", c.block());
             }
             warp.blockStarted = true;
             warp.instrIdx = 0;
         }
 
-        if (warp.instrIdx < blk.instrs.size()) {
+        if (warp.instrIdx < blk.numInstrs) {
             // ---- Issue one warp instruction. -------------------------
-            const FermiDecodedInstr &in = ck->decoded[b][warp.instrIdx];
+            const FermiDecodedInstr &in = blk.instrs[warp.instrIdx];
             ++warp.instrIdx;
             ++rs.dynWarpInstrs;
             rs.dynThreadOps += uint64_t(active);
@@ -410,15 +445,12 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
                 if (in.isShared) {
                     // Scratchpad: serialised by bank conflicts.
                     std::array<uint32_t, 32> bank{};
-                    for (int lane = 0; lane < 32; ++lane) {
-                        if (!((mask >> lane) & 1))
-                            continue;
-                        const int tid = warp.tids[lane];
+                    for (uint32_t m = mask; m; m &= m - 1) {
                         const MemAccess acc =
-                            cursor[size_t(tid)].nextAccess();
+                            lanes[std::countr_zero(m)].nextAccess();
                         ++bank[(acc.addr / 4) % 32];
-                        ++shared_accesses;
                     }
+                    shared_accesses += uint64_t(active);
                     const uint32_t passes =
                         *std::max_element(bank.begin(), bank.end());
                     issue_cost = std::max<uint64_t>(1, passes);
@@ -434,12 +466,9 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
                     // most 32 lanes -> a sorted stack array, no heap.
                     std::array<uint32_t, 32> lines;
                     int num_lines = 0;
-                    for (int lane = 0; lane < 32; ++lane) {
-                        if (!((mask >> lane) & 1))
-                            continue;
-                        const int tid = warp.tids[lane];
+                    for (uint32_t m = mask; m; m &= m - 1) {
                         const MemAccess acc =
-                            cursor[size_t(tid)].nextAccess();
+                            lanes[std::countr_zero(m)].nextAccess();
                         num_lines = int(bitops::insertSortedUnique(
                             lines.data(), size_t(num_lines),
                             acc.addr / 128));
@@ -488,10 +517,10 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
         }
 
         // ---- Terminator: one branch instruction on the SM. -----------
-        if (blk.term.kind == TermKind::Branch) {
+        if (blk.branch) {
             ++rs.dynWarpInstrs;
             rs.energy.add(EnergyComponent::Frontend, e.frontendWarpInstr);
-            if (ck->branchCondRf[b]) {
+            if (blk.condRf) {
                 ++rs.rfAccesses;
                 rs.energy.add(EnergyComponent::RegisterFile,
                               e.rfAccessWarp);
@@ -502,14 +531,12 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
         // Consume the execs and collect per-lane successors.
         std::array<int, 32> lane_succ;
         lane_succ.fill(SimtStack::kLaneInactive);
-        for (int lane = 0; lane < 32; ++lane) {
-            if (!((mask >> lane) & 1))
-                continue;
-            const int tid = warp.tids[lane];
-            ThreadCursor &c = cursor[size_t(tid)];
+        for (uint32_t m = mask; m; m &= m - 1) {
+            const int lane = std::countr_zero(m);
+            ThreadCursor &c = lanes[lane];
             const int succ = c.succ();
             c.nextExec();
-            lane_succ[lane] =
+            lane_succ[size_t(lane)] =
                 succ < 0 ? SimtStack::kLaneExit : succ;
         }
         rs.dynBlockExecs += uint64_t(active);
@@ -529,8 +556,8 @@ FermiCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
         warp.readyAt = std::max(warp.readyAt, clock);
 
         if (warp.stack.done()) {
-            on_warp_done(pick);
-        } else if (blk.term.barrier) {
+            on_warp_done(pos);
+        } else if (blk.barrier) {
             warp.atBarrier = true;
             try_release_barrier(warp.cta);
         }

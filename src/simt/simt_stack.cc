@@ -1,11 +1,24 @@
 #include "simt/simt_stack.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
 namespace vgiw
 {
+
+namespace
+{
+
+/** Lanes of a warp that branch to the same successor. */
+struct Group
+{
+    int succ;
+    uint32_t mask;
+};
+
+} // namespace
 
 SimtStack::SimtStack(uint32_t initial_mask, int entry_block)
 {
@@ -30,33 +43,32 @@ SimtStack::advance(const std::array<int, 32> &lane_succ,
     stack_.pop_back();
 
     // Partition the active lanes by successor block; exited lanes drop
-    // out of the mask entirely.
-    std::vector<std::pair<int, uint32_t>> groups;  // (succ, mask)
-    for (int lane = 0; lane < 32; ++lane) {
-        if (!((e.mask >> lane) & 1))
-            continue;
-        const int succ = lane_succ[lane];
+    // out of the mask entirely. At most one group per lane, so a fixed
+    // array holds them: the warp terminator path never touches the heap.
+    std::array<Group, 32> groups;
+    int n = 0;
+    for (uint32_t m = e.mask; m; m &= m - 1) {
+        const int lane = std::countr_zero(m);
+        const int succ = lane_succ[size_t(lane)];
         vgiw_assert(succ != kLaneInactive,
                     "active lane reported as inactive");
         if (succ == kLaneExit)
             continue;
-        auto it = std::find_if(groups.begin(), groups.end(),
-                               [succ](const auto &g) {
-                                   return g.first == succ;
-                               });
-        if (it == groups.end())
-            groups.emplace_back(succ, uint32_t(1) << lane);
-        else
-            it->second |= uint32_t(1) << lane;
+        int g = 0;
+        while (g < n && groups[size_t(g)].succ != succ)
+            ++g;
+        if (g == n)
+            groups[size_t(n++)] = Group{succ, 0};
+        groups[size_t(g)].mask |= uint32_t(1) << lane;
     }
 
-    if (groups.empty()) {
+    if (n == 0) {
         dropEmptyTop();
         return;
     }
 
-    if (groups.size() == 1) {
-        auto [succ, mask] = groups.front();
+    if (n == 1) {
+        const auto [succ, mask] = groups[0];
         bool merged = false;
         if (succ == e.rpc) {
             // Reconvergence: the lanes rejoin the entry pushed when the
@@ -102,11 +114,12 @@ SimtStack::advance(const std::array<int, 32> &lane_succ,
     // Push target entries, larger block IDs first so the smallest block
     // ID executes first (matching GPGPU taken-path-first scheduling and
     // keeping loop bodies before loop exits).
-    std::sort(groups.begin(), groups.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first > b.first;
+    std::sort(groups.begin(), groups.begin() + n,
+              [](const Group &a, const Group &b) {
+                  return a.succ > b.succ;
               });
-    for (auto [succ, mask] : groups) {
+    for (int g = 0; g < n; ++g) {
+        const auto [succ, mask] = groups[size_t(g)];
         if (reconv >= 0 && succ == rpc)
             stack_[size_t(reconv)].mask |= mask;
         else

@@ -201,7 +201,8 @@ VgiwCore::deserializeArtifact(std::string_view bytes) const
         if (!p)
             return nullptr;
         li.resize(cnt);
-        std::memcpy(li.data(), p, size_t(cnt) * sizeof(uint16_t));
+        if (cnt)  // memcpy into an empty vector's null data() is UB
+            std::memcpy(li.data(), p, size_t(cnt) * sizeof(uint16_t));
     }
     ck->avgUtilization = r.f64();
     if (!r.done())
@@ -311,16 +312,17 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
                                      launch.ctaSize);
         int waiting = 0;
 
-        auto release_pools = [&](int cta) {
-            for (int b = 0; b < num_blocks; ++b) {
-                auto &pool = pools[size_t(cta) * num_blocks + b];
-                if (!pool.empty() &&
-                    int(pool.size()) == live_in_cta[cta]) {
-                    for (auto [rel, succ] : pool)
-                        cvt.set(succ, rel);
-                    waiting -= int(pool.size());
-                    pool.clear();
-                }
+        // A pool releases once every live thread of its CTA waits in
+        // it. An arrival can complete only the pool it joined; an exit
+        // lowers the CTA's live count, so it rescans all of the CTA's
+        // pools.
+        auto try_release = [&](int cta, int b) {
+            auto &pool = pools[size_t(cta) * num_blocks + b];
+            if (!pool.empty() && int(pool.size()) == live_in_cta[cta]) {
+                for (auto [rel, succ] : pool)
+                    cvt.set(succ, rel);
+                waiting -= int(pool.size());
+                pool.clear();
             }
         };
 
@@ -425,12 +427,13 @@ VgiwCore::run(const TraceSet &traces, const CompiledKernel &compiled) const
                 const int cta = int(rel) / launch.ctaSize;
                 if (succ < 0) {
                     --live_in_cta[cta];
-                    release_pools(cta);
+                    for (int pool_b = 0; pool_b < num_blocks; ++pool_b)
+                        try_release(cta, pool_b);
                 } else if (blk.term.barrier) {
                     pools[size_t(cta) * num_blocks + b]
                         .emplace_back(rel, succ);
                     ++waiting;
-                    release_pools(cta);
+                    try_release(cta, b);
                 } else {
                     succ_tids[succ].push_back(rel);
                 }

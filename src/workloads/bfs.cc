@@ -14,6 +14,7 @@
 
 #include "workloads/workloads.hh"
 
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -193,35 +194,35 @@ buildKernel2()
     return kb.finish();
 }
 
-/** Lay the BFS state out in a memory image. */
-struct BfsImage
+/** Buffer addresses of the BFS state within its memory image. */
+struct BfsArrays
 {
-    MemoryImage mem{16u << 20};
     uint32_t starts, edges, mask, updating, visited, cost, over;
 };
 
-BfsImage
-layout(const BfsSetup &s)
+/** Lay the BFS state out in a fresh image; returns the image. */
+MemoryImage
+layout(const BfsSetup &s, BfsArrays &im)
 {
-    BfsImage im;
-    im.starts = im.mem.allocWords(uint32_t(s.starts.size()));
-    im.edges = im.mem.allocWords(uint32_t(s.edges.size()));
-    im.mask = im.mem.allocWords(kNodes);
-    im.updating = im.mem.allocWords(kNodes);
-    im.visited = im.mem.allocWords(kNodes);
-    im.cost = im.mem.allocWords(kNodes);
-    im.over = im.mem.allocWords(4);
+    MemoryImage mem(1u << 20);  // the graph state takes about 50 KB
+    im.starts = mem.allocWords(uint32_t(s.starts.size()));
+    im.edges = mem.allocWords(uint32_t(s.edges.size()));
+    im.mask = mem.allocWords(kNodes);
+    im.updating = mem.allocWords(kNodes);
+    im.visited = mem.allocWords(kNodes);
+    im.cost = mem.allocWords(kNodes);
+    im.over = mem.allocWords(4);
     for (size_t i = 0; i < s.starts.size(); ++i)
-        im.mem.storeI32(im.starts, uint32_t(i), s.starts[i]);
+        mem.storeI32(im.starts, uint32_t(i), s.starts[i]);
     for (size_t i = 0; i < s.edges.size(); ++i)
-        im.mem.storeI32(im.edges, uint32_t(i), s.edges[i]);
+        mem.storeI32(im.edges, uint32_t(i), s.edges[i]);
     for (int i = 0; i < kNodes; ++i) {
-        im.mem.storeI32(im.mask, uint32_t(i), s.mask[size_t(i)]);
-        im.mem.storeI32(im.updating, uint32_t(i), s.updating[size_t(i)]);
-        im.mem.storeI32(im.visited, uint32_t(i), s.visited[size_t(i)]);
-        im.mem.storeI32(im.cost, uint32_t(i), s.cost[size_t(i)]);
+        mem.storeI32(im.mask, uint32_t(i), s.mask[size_t(i)]);
+        mem.storeI32(im.updating, uint32_t(i), s.updating[size_t(i)]);
+        mem.storeI32(im.visited, uint32_t(i), s.visited[size_t(i)]);
+        mem.storeI32(im.cost, uint32_t(i), s.cost[size_t(i)]);
     }
-    return im;
+    return mem;
 }
 
 /** Native reference of Kernel's frontier expansion. */
@@ -250,13 +251,14 @@ makeBfsKernel()
 {
     Rng rng(48);
     BfsSetup s = buildGraph(rng);
-    BfsImage im = layout(s);
+    BfsArrays im;
+    MemoryImage image = layout(s, im);
 
     WorkloadInstance w;
     w.suite = "BFS";
     w.domain = "Graph Algorithms";
     w.kernel = buildKernel1();
-    w.memory = im.mem;
+    w.memory = std::move(image);
     w.launch.numCtas = kNodes / kCtaSize;
     w.launch.ctaSize = kCtaSize;
     w.launch.params = {Scalar::fromU32(im.starts), Scalar::fromU32(im.edges),
@@ -280,13 +282,14 @@ makeBfsKernel2()
     Rng rng(48);
     BfsSetup s = buildGraph(rng);
     referenceKernel1(s);  // Kernel2 runs on Kernel's output state
-    BfsImage im = layout(s);
+    BfsArrays im;
+    MemoryImage image = layout(s, im);
 
     WorkloadInstance w;
     w.suite = "BFS";
     w.domain = "Graph Algorithms";
     w.kernel = buildKernel2();
-    w.memory = im.mem;
+    w.memory = std::move(image);
     w.launch.numCtas = kNodes / kCtaSize;
     w.launch.ctaSize = kCtaSize;
     w.launch.params = {Scalar::fromU32(im.mask),

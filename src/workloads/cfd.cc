@@ -11,6 +11,7 @@
 
 #include "workloads/workloads.hh"
 
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -249,37 +250,38 @@ buildComputeFlux()
     return kb.finish();
 }
 
+/** Buffer addresses of the CFD state within its memory image. */
 struct CfdArrays
 {
-    MemoryImage mem{16u << 20};
     uint32_t variables, old_variables, fluxes, step_factor, areas,
         ff_variable, surrounding, normals;
 };
 
-CfdArrays
-layoutCfd(Rng &rng)
+/** Lay the CFD state out in a fresh image; returns the image. */
+MemoryImage
+layoutCfd(Rng &rng, CfdArrays &a)
 {
-    CfdArrays a;
-    a.variables = a.mem.allocWords(kVars * kNelr);
-    a.old_variables = a.mem.allocWords(kVars * kNelr);
-    a.fluxes = a.mem.allocWords(kVars * kNelr);
-    a.step_factor = a.mem.allocWords(kNelr);
-    a.areas = a.mem.allocWords(kNelr);
-    a.ff_variable = a.mem.allocWords(kVars);
-    a.surrounding = a.mem.allocWords(kNeighbors * kNelr);
-    a.normals = a.mem.allocWords(kNeighbors * kNelr);
+    MemoryImage mem(1u << 20);  // the state takes about 200 KB
+    a.variables = mem.allocWords(kVars * kNelr);
+    a.old_variables = mem.allocWords(kVars * kNelr);
+    a.fluxes = mem.allocWords(kVars * kNelr);
+    a.step_factor = mem.allocWords(kNelr);
+    a.areas = mem.allocWords(kNelr);
+    a.ff_variable = mem.allocWords(kVars);
+    a.surrounding = mem.allocWords(kNeighbors * kNelr);
+    a.normals = mem.allocWords(kNeighbors * kNelr);
 
     // Density and energy stay O(1); momentum is kept small so the
     // derived pressure is always positive (no NaN sound speeds).
-    fillF32(a.mem, a.variables, kNelr, rng, 0.8f, 2.0f);
-    fillF32(a.mem, a.variables + 4 * kNelr, 3 * kNelr, rng, 0.05f, 0.3f);
-    fillF32(a.mem, a.variables + 16 * kNelr, kNelr, rng, 1.5f, 3.0f);
-    fillF32(a.mem, a.old_variables, kVars * kNelr, rng, 0.8f, 2.0f);
-    fillF32(a.mem, a.fluxes, kVars * kNelr, rng, -0.5f, 0.5f);
-    fillF32(a.mem, a.step_factor, kNelr, rng, 0.001f, 0.01f);
-    fillF32(a.mem, a.areas, kNelr, rng, 0.5f, 2.0f);
+    fillF32(mem, a.variables, kNelr, rng, 0.8f, 2.0f);
+    fillF32(mem, a.variables + 4 * kNelr, 3 * kNelr, rng, 0.05f, 0.3f);
+    fillF32(mem, a.variables + 16 * kNelr, kNelr, rng, 1.5f, 3.0f);
+    fillF32(mem, a.old_variables, kVars * kNelr, rng, 0.8f, 2.0f);
+    fillF32(mem, a.fluxes, kVars * kNelr, rng, -0.5f, 0.5f);
+    fillF32(mem, a.step_factor, kNelr, rng, 0.001f, 0.01f);
+    fillF32(mem, a.areas, kNelr, rng, 0.5f, 2.0f);
     for (int v = 0; v < kVars; ++v)
-        a.mem.storeF32(a.ff_variable, uint32_t(v), 1.0f + 0.1f * float(v));
+        mem.storeF32(a.ff_variable, uint32_t(v), 1.0f + 0.1f * float(v));
     // Neighbours: mostly interior, ~10% wall, ~10% far field.
     for (int i = 0; i < kNeighbors * kNelr; ++i) {
         const uint32_t r = rng.nextUInt(10);
@@ -290,10 +292,10 @@ layoutCfd(Rng &rng)
             nb = -1;
         else
             nb = -2;
-        a.mem.storeI32(a.surrounding, uint32_t(i), nb);
+        mem.storeI32(a.surrounding, uint32_t(i), nb);
     }
-    fillF32(a.mem, a.normals, kNeighbors * kNelr, rng, -1.0f, 1.0f);
-    return a;
+    fillF32(mem, a.normals, kNeighbors * kNelr, rng, -1.0f, 1.0f);
+    return mem;
 }
 
 LaunchParams
@@ -312,16 +314,15 @@ WorkloadInstance
 makeCfdInitializeVariables()
 {
     Rng rng(49);
-    CfdArrays a = layoutCfd(rng);
+    CfdArrays a;
+    MemoryImage image = layoutCfd(rng, a);
     WorkloadInstance w;
     w.suite = "CFD";
     w.domain = "Fluid Dynamics";
     w.kernel = buildInitializeVariables();
-    w.memory = a.mem;
     w.launch = cfdLaunch({Scalar::fromU32(a.variables),
                           Scalar::fromU32(a.ff_variable)});
-    MemoryImage init = a.mem;
-    w.check = [a, init](const MemoryImage &mem, std::string &err) {
+    w.check = [a, init = image](const MemoryImage &mem, std::string &err) {
         std::vector<float> expect(size_t(kVars) * kNelr);
         for (int v = 0; v < kVars; ++v)
             for (int i = 0; i < kNelr; ++i)
@@ -329,6 +330,7 @@ makeCfdInitializeVariables()
                     init.loadF32(a.ff_variable, uint32_t(v));
         return checkF32(mem, a.variables, expect, 0.0f, err);
     };
+    w.memory = std::move(image);  // the golden keeps its own copy
     return w;
 }
 
@@ -336,17 +338,16 @@ WorkloadInstance
 makeCfdComputeStepFactor()
 {
     Rng rng(50);
-    CfdArrays a = layoutCfd(rng);
+    CfdArrays a;
+    MemoryImage image = layoutCfd(rng, a);
     WorkloadInstance w;
     w.suite = "CFD";
     w.domain = "Fluid Dynamics";
     w.kernel = buildComputeStepFactor();
-    w.memory = a.mem;
     w.launch = cfdLaunch({Scalar::fromU32(a.variables),
                           Scalar::fromU32(a.areas),
                           Scalar::fromU32(a.step_factor)});
-    MemoryImage init = a.mem;
-    w.check = [a, init](const MemoryImage &mem, std::string &err) {
+    w.check = [a, init = image](const MemoryImage &mem, std::string &err) {
         std::vector<float> expect(kNelr);
         for (int i = 0; i < kNelr; ++i) {
             const float density = init.loadF32(a.variables, varIdx(0, i));
@@ -368,6 +369,7 @@ makeCfdComputeStepFactor()
         }
         return checkF32(mem, a.step_factor, expect, 1e-4f, err);
     };
+    w.memory = std::move(image);  // the golden keeps its own copy
     return w;
 }
 
@@ -375,17 +377,16 @@ WorkloadInstance
 makeCfdTimeStep()
 {
     Rng rng(51);
-    CfdArrays a = layoutCfd(rng);
+    CfdArrays a;
+    MemoryImage image = layoutCfd(rng, a);
     WorkloadInstance w;
     w.suite = "CFD";
     w.domain = "Fluid Dynamics";
     w.kernel = buildTimeStep();
-    w.memory = a.mem;
     w.launch = cfdLaunch(
         {Scalar::fromU32(a.variables), Scalar::fromU32(a.old_variables),
          Scalar::fromU32(a.fluxes), Scalar::fromU32(a.step_factor)});
-    MemoryImage init = a.mem;
-    w.check = [a, init](const MemoryImage &mem, std::string &err) {
+    w.check = [a, init = image](const MemoryImage &mem, std::string &err) {
         std::vector<float> expect(size_t(kVars) * kNelr);
         for (int i = 0; i < kNelr; ++i) {
             const float f = init.loadF32(a.step_factor, uint32_t(i));
@@ -397,6 +398,7 @@ makeCfdTimeStep()
         }
         return checkF32(mem, a.variables, expect, 1e-5f, err);
     };
+    w.memory = std::move(image);  // the golden keeps its own copy
     return w;
 }
 
@@ -404,18 +406,17 @@ WorkloadInstance
 makeCfdComputeFlux()
 {
     Rng rng(52);
-    CfdArrays a = layoutCfd(rng);
+    CfdArrays a;
+    MemoryImage image = layoutCfd(rng, a);
     WorkloadInstance w;
     w.suite = "CFD";
     w.domain = "Fluid Dynamics";
     w.kernel = buildComputeFlux();
-    w.memory = a.mem;
     w.launch = cfdLaunch(
         {Scalar::fromU32(a.surrounding), Scalar::fromU32(a.normals),
          Scalar::fromU32(a.variables), Scalar::fromU32(a.fluxes),
          Scalar::fromU32(a.ff_variable)});
-    MemoryImage init = a.mem;
-    w.check = [a, init](const MemoryImage &mem, std::string &err) {
+    w.check = [a, init = image](const MemoryImage &mem, std::string &err) {
         std::vector<float> ed(kNelr), em(kNelr), ee(kNelr);
         const float ff_d = init.loadF32(a.ff_variable, 0);
         const float ff_m = init.loadF32(a.ff_variable, 1);
@@ -470,6 +471,7 @@ makeCfdComputeFlux()
         };
         return slice_ok(0, ed) && slice_ok(1, em) && slice_ok(4, ee);
     };
+    w.memory = std::move(image);  // the golden keeps its own copy
     return w;
 }
 

@@ -26,7 +26,12 @@ struct WorkloadInstance
     std::string domain;  ///< e.g. "Graph Algorithms"
     Kernel kernel;
     LaunchParams launch;
-    MemoryImage memory;  ///< inputs laid out and initialised
+    /**
+     * Inputs laid out and initialised. Empty by default: every maker
+     * assigns its own image, so a default of the full 16 MiB would be
+     * zero-filled only to be thrown away.
+     */
+    MemoryImage memory{0};
 
     /**
      * Validates the post-run memory against a natively computed

@@ -35,9 +35,10 @@ TEST(DiceDifferential, FunctionalWorkMatchesAllArchsFromSharedTraces)
         ASSERT_TRUE(c.goldenPassed) << name << ": " << c.goldenError;
         EXPECT_EQ(c.dice.dynBlockExecs, c.vgiw.dynBlockExecs) << name;
         EXPECT_EQ(c.dice.dynBlockExecs, c.fermi.dynBlockExecs) << name;
-        if (c.sgmf.supported)
+        if (c.sgmf.supported) {
             EXPECT_EQ(c.dice.dynBlockExecs, c.sgmf.dynBlockExecs)
                 << name;
+        }
         EXPECT_EQ(c.dice.dynThreadOps, c.vgiw.dynThreadOps) << name;
         // DICE folds oversized blocks instead of rejecting the kernel,
         // so unlike SGMF it must support everything.

@@ -38,11 +38,16 @@ namespace
 
 namespace fs = std::filesystem;
 
-/** A fresh scratch store directory, removed on destruction. */
+/**
+ * A fresh scratch store directory, removed on destruction. The pid in
+ * the name keeps two test processes running at once out of each
+ * other's stores.
+ */
 struct ScratchDir
 {
     explicit ScratchDir(const std::string &tag)
-        : path(::testing::TempDir() + "vgiw_store_" + tag)
+        : path(::testing::TempDir() + "vgiw_store_" +
+               std::to_string(::getpid()) + "_" + tag)
     {
         fs::remove_all(path);
     }
@@ -327,17 +332,40 @@ TEST(ArtifactStoreRace, FlippedByteUnderRepublishRace)
     // checksum-mismatch miss and republishes. Concurrent republication
     // over a corrupt object must leave exactly one valid blob.
     flipByteAt(obj, 1111);
-    auto healer = [&]() -> int {
+
+    // A pipe barrier between the two loads and the two publishes: a
+    // healer that published first would otherwise let the other load
+    // the healed blob. Each side signals on one pipe and waits on the
+    // other; an early exit closes its end, so the wait never hangs.
+    int to_child[2], to_parent[2];
+    ASSERT_EQ(::pipe(to_child), 0);
+    ASSERT_EQ(::pipe(to_parent), 0);
+    auto healer = [&](int signal_fd, int wait_fd) -> int {
         ArtifactStore s;
-        if (!s.open(dir.path))
-            return 2;
         ArtifactStore::Blob b;
-        if (s.load("t", key, &b))
+        const bool opened = s.open(dir.path);
+        const bool hit = opened && s.load("t", key, &b);
+        char token = 'h';
+        const bool synced = ::write(signal_fd, &token, 1) == 1 &&
+                            ::read(wait_fd, &token, 1) == 1;
+        if (!opened)
+            return 2;
+        if (hit)
             return 3;  // the corruption must demote to a miss
+        if (!synced)
+            return 4;
         return s.publish("t", key, payload) ? 0 : 1;
     };
-    const pid_t child = forkChild(healer);
-    EXPECT_EQ(healer(), 0);
+    const pid_t child = forkChild([&] {
+        ::close(to_child[1]);
+        ::close(to_parent[0]);
+        return healer(to_parent[1], to_child[0]);
+    });
+    ::close(to_child[0]);
+    ::close(to_parent[1]);
+    EXPECT_EQ(healer(to_child[1], to_parent[0]), 0);
+    ::close(to_child[1]);
+    ::close(to_parent[0]);
     EXPECT_EQ(waitExit(child), 0);
 
     ArtifactStore fresh;

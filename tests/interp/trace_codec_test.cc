@@ -167,6 +167,57 @@ TEST(TraceCodec, TightLoopCompresses)
     EXPECT_LT(ts.compressedBytes() * 8, ts.uncompressedBytes());
 }
 
+TEST(TraceCodec, CursorWalkMatchesDecodeAtSixteenBitBlockIds)
+{
+    // Block ids at the ends of the 16-bit range the cursor stores them
+    // in (unsigned block, signed successor), inside loops long enough
+    // for run tokens, with and without the access intern pool.
+    std::mt19937_64 rng(16);
+    std::vector<ThreadTrace> threads(3);
+    for (int it = 0; it < 40; ++it) {
+        addExec(threads[0], rng, 0, 32767, 2);
+        addExec(threads[0], rng, 32767, 0, 1);
+    }
+    addExec(threads[0], rng, 0, -1, 0);
+    // Repeated (block, successor, count) tuples: the loops encode as
+    // run tokens. The successor need not name the next block here.
+    for (int it = 0; it < 25; ++it) {
+        addExec(threads[1], rng, 65535, 32767, 1);
+        addExec(threads[1], rng, 32767, 0, 0);
+        addExec(threads[1], rng, 65534, -32768, 3);
+    }
+    addExec(threads[1], rng, 65535, -1, 1);
+    addExec(threads[2], rng, 65535, -1, 2);
+
+    TraceSet ts = TraceSet::fromThreads(nullptr, LaunchParams{}, threads);
+
+    for (int pass = 0; pass < 2; ++pass) {
+        if (pass == 1)
+            ts.buildAccessIntern();
+        for (uint32_t tid = 0; tid < threads.size(); ++tid) {
+            const ThreadTrace decoded = ts.decodeThread(tid);
+            expectEqual(threads[tid], decoded);
+            size_t i = 0, acc = 0;
+            for (ThreadCursor c = ts.thread(tid); !c.done();
+                 c.nextExec(), ++i) {
+                ASSERT_LT(i, decoded.execs.size());
+                const BlockExec &e = decoded.execs[i];
+                EXPECT_EQ(c.block(), int(e.block)) << "exec " << i;
+                EXPECT_EQ(c.succ(), int(e.succ)) << "exec " << i;
+                ASSERT_EQ(c.numAccesses(), e.accessEnd - e.accessBegin);
+                for (uint32_t a = 0; a < c.numAccesses(); ++a, ++acc) {
+                    const MemAccess got = c.nextAccess();
+                    EXPECT_EQ(got.addr, decoded.accesses[acc].addr);
+                    EXPECT_EQ(got.isStore, decoded.accesses[acc].isStore);
+                    EXPECT_EQ(got.isShared,
+                              decoded.accesses[acc].isShared);
+                }
+            }
+            EXPECT_EQ(i, decoded.execs.size());
+        }
+    }
+}
+
 TEST(TraceCodec, EmptyAndSingleExecThreads)
 {
     std::vector<ThreadTrace> threads(3);

@@ -137,5 +137,79 @@ TEST(SimtStack, PartialExitKeepsRemainingLanes)
     EXPECT_EQ(s.activeMask(), 0b01u);
 }
 
+TEST(SimtStack, ThirtyTwoWayDivergenceThenNestedReconvergence)
+{
+    // A 32-arm switch inside a loop: head 0 branches lane l to arm
+    // 1 + l, every arm joins the latch 33, and the latch either loops
+    // back to 0 or leaves to 34. ipdom(head) = latch, ipdom(latch) =
+    // exit, so the second trip's divergence nests inside the first
+    // reconvergence entry.
+    std::vector<int> ipd(35, 33);
+    ipd[33] = 34;
+    ipd[34] = PostDominators::kVirtualExit;
+    const PostDominators pd = PostDominators::fromIpdoms(ipd);
+    constexpr uint32_t kAll = 0xffffffffu;
+    constexpr uint32_t kOdd = 0xaaaaaaaau;
+    constexpr uint32_t kEven = 0x55555555u;
+
+    std::array<int, 32> arms;
+    for (int lane = 0; lane < 32; ++lane)
+        arms[size_t(lane)] = 1 + lane;
+    SimtStack s(kAll, 0);
+    s.advance(arms, pd);
+    // One entry per arm above the (still empty) latch entry.
+    EXPECT_EQ(s.depth(), 33u);
+    for (int lane = 0; lane < 32; ++lane) {
+        // Smallest block first: arm 1 + lane runs lane alone.
+        ASSERT_EQ(s.currentBlock(), 1 + lane);
+        ASSERT_EQ(s.activeMask(), uint32_t(1) << lane);
+        s.advance(succs({{lane, 33}}), pd);
+    }
+    EXPECT_EQ(s.currentBlock(), 33);
+    EXPECT_EQ(s.activeMask(), kAll);
+    EXPECT_EQ(s.depth(), 1u);
+
+    // Latch: even lanes leave the loop, odd lanes take another trip.
+    std::array<int, 32> latch;
+    for (int lane = 0; lane < 32; ++lane)
+        latch[size_t(lane)] = lane % 2 ? 0 : 34;
+    s.advance(latch, pd);
+    EXPECT_EQ(s.currentBlock(), 0);
+    EXPECT_EQ(s.activeMask(), kOdd);
+    EXPECT_EQ(s.depth(), 2u);  // exit entry (even lanes) + loop trip
+
+    // Second trip: a 16-way divergence nested under the exit entry.
+    std::array<int, 32> odd_arms;
+    odd_arms.fill(SimtStack::kLaneInactive);
+    for (int lane = 1; lane < 32; lane += 2)
+        odd_arms[size_t(lane)] = 1 + lane;
+    s.advance(odd_arms, pd);
+    EXPECT_EQ(s.depth(), 1u + 1u + 16u);  // exit, latch, 16 arms
+    for (int lane = 1; lane < 32; lane += 2) {
+        ASSERT_EQ(s.currentBlock(), 1 + lane);
+        ASSERT_EQ(s.activeMask(), uint32_t(1) << lane);
+        s.advance(succs({{lane, 33}}), pd);
+    }
+    // Inner reconvergence at the latch: only the odd lanes.
+    EXPECT_EQ(s.currentBlock(), 33);
+    EXPECT_EQ(s.activeMask(), kOdd);
+    EXPECT_EQ(s.depth(), 2u);
+
+    // Outer reconvergence: the odd lanes rejoin the even ones.
+    std::array<int, 32> leave;
+    leave.fill(SimtStack::kLaneInactive);
+    for (int lane = 1; lane < 32; lane += 2)
+        leave[size_t(lane)] = 34;
+    s.advance(leave, pd);
+    EXPECT_EQ(s.currentBlock(), 34);
+    EXPECT_EQ(s.activeMask(), kOdd | kEven);
+    EXPECT_EQ(s.depth(), 1u);
+
+    std::array<int, 32> exits;
+    exits.fill(SimtStack::kLaneExit);
+    s.advance(exits, pd);
+    EXPECT_TRUE(s.done());
+}
+
 } // namespace
 } // namespace vgiw

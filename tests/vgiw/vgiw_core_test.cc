@@ -2,6 +2,7 @@
 
 #include "helpers/test_kernels.hh"
 #include "interp/interpreter.hh"
+#include "ir/builder.hh"
 #include "vgiw/vgiw_core.hh"
 
 namespace vgiw
@@ -169,6 +170,50 @@ TEST(VgiwCore, TilingPreservesWorkAndBarriers)
     // More tiles -> more reconfigurations than the single-tile run.
     RunStats big = VgiwCore{}.run(traces);
     EXPECT_GT(rs.reconfigs, big.reconfigs);
+}
+
+TEST(VgiwCore, SiblingExitReleasesBarrier)
+{
+    // Even lanes of each CTA wait at a barrier; odd lanes exit without
+    // reaching it. The BBS runs the lower block id first, so the whole
+    // even half has arrived before any odd thread exits: no arrival
+    // can release the pool, and only the last sibling's exit — which
+    // leaves every live thread waiting — does.
+    const int cta = 32, ctas = 2;
+    KernelBuilder kb("exit_releases_barrier", 1);
+    BlockRef entry = kb.block("entry");
+    BlockRef wait = kb.block("wait");
+    BlockRef leave = kb.block("leave");
+    BlockRef after = kb.block("after");
+    const Operand tid = Operand::special(SpecialReg::Tid);
+    const Operand lane = Operand::special(SpecialReg::TidInCta);
+    entry.branch(entry.iand(lane, Operand::constI32(1)), leave, wait);
+    wait.jump(after, /*barrier=*/true);
+    leave.exit();
+    after.store(Type::I32, after.elemAddr(Operand::param(0), tid), tid);
+    after.exit();
+    const Kernel k = kb.finish();
+
+    MemoryImage mem(1 << 16);
+    const uint32_t out = mem.allocWords(cta * ctas);
+    LaunchParams lp;
+    lp.numCtas = ctas;
+    lp.ctaSize = cta;
+    lp.params = {Scalar::fromU32(out)};
+    const TraceSet traces = Interpreter{}.run(k, lp, mem);
+
+    std::vector<int> schedule;
+    VgiwConfig cfg;
+    cfg.blockObserver = [&schedule](int b, const std::vector<uint32_t> &) {
+        schedule.push_back(b);
+    };
+    const RunStats rs = VgiwCore(cfg).run(traces);
+    EXPECT_EQ(rs.dynBlockExecs, traces.totalBlockExecs());
+    EXPECT_EQ(schedule, (std::vector<int>{0, 1, 2, 3}));
+    for (int t = 0; t < cta * ctas; ++t) {
+        EXPECT_EQ(mem.loadI32(out, uint32_t(t)), t % 2 ? 0 : t)
+            << "thread " << t;
+    }
 }
 
 TEST(VgiwCore, EnergyComponentsArePopulated)

@@ -19,14 +19,22 @@ file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
 file(MAKE_DIRECTORY "${pids}")
 
-# The full 3-arch suite is long enough that a signal 2 s in lands
-# mid-sweep on any machine.
+# A fixed delay cannot be relied on to land mid-sweep: the whole suite
+# finishes in under two seconds on a fast machine. Instead wait for the
+# first worker's pidfile — written after the coordinator installed its
+# drain handlers and forked the fleet — and signal shortly after, while
+# most of the suite is still queued.
 execute_process(
     COMMAND ${BASH} -c
             "VGIW_SHARD_PIDFILE_DIR='${pids}' \
              '${BIN}' --suite --shards 2 --json '${WORKDIR}/drain.json' \
              > '${WORKDIR}/stdout.txt' 2> '${WORKDIR}/stderr.txt' & \
-             pid=$!; sleep 2; kill -TERM $pid; wait $pid"
+             pid=$!; \
+             for i in $(seq 600); do \
+                 ls '${pids}'/worker-*.alive > /dev/null 2>&1 && break; \
+                 sleep 0.05; \
+             done; \
+             sleep 0.2; kill -TERM $pid; wait $pid"
     RESULT_VARIABLE rc)
 if (NOT rc EQUAL 4)
     file(READ "${WORKDIR}/stderr.txt" err)
